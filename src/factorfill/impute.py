@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from ._kernels import masked_loadings
 from .apc import FactorModelFit, apc, common_component
@@ -276,7 +276,7 @@ def completed_in_original_units(result: ImputationResult,
 def _z_quantile(level: float) -> float:
     if not 0.0 < level < 1.0:
         raise DataValidationError(f"level must be in (0,1), got {level}")
-    return float(norm.ppf(0.5 * (1.0 + level)))
+    return float(ndtri(0.5 * (1.0 + level)))
 
 
 def _checked_solve(G: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .covariance import CovEstimate, sample_cov
 from .errors import (
@@ -93,7 +93,7 @@ def value_at_risk(pvol: float, mean: float = 0.0, alpha: float = 0.95) -> float:
         raise DataValidationError(f"alpha must be in (0,1), got {alpha}")
     if pvol < 0.0:
         raise DataValidationError("pvol must be nonnegative")
-    return float(norm.ppf(alpha)) * pvol - mean
+    return float(ndtri(alpha)) * pvol - mean
 
 
 def black_scholes_call(sigma: float, S0: float = 1.0, K: float = 1.0,
@@ -111,7 +111,7 @@ def black_scholes_call(sigma: float, S0: float = 1.0, K: float = 1.0,
     sq = sigma * math.sqrt(tau)
     d1 = (math.log(S0 / K) + (r + 0.5 * sigma * sigma) * tau) / sq
     d2 = d1 - sq
-    return S0 * float(norm.cdf(d1)) - disc * float(norm.cdf(d2))
+    return S0 * float(ndtr(d1)) - disc * float(ndtr(d2))
 
 
 def annualized_vol(variance: float, frequency: str = "monthly") -> float:

@@ -444,7 +444,7 @@ def mc_distribution_study(dgp: BasicDgpConfig, pattern, eval_points: dict,
             stats[m][name] = {
                 "true_C": float(C_true[t, i]),
                 "mean": float(np.mean(est)),
-                "sd": float(np.std(est, ddof=1)),
+                "sd": float(np.std(est, ddof=1)) if est.size > 1 else None,
                 "ase": float(np.mean(ase)),
                 "q05": float(np.quantile(stud, 0.05)),
                 "q95": float(np.quantile(stud, 0.95)),
@@ -716,11 +716,20 @@ def synthetic_calibrated_panel(T: int = 348, N: int = 339,
 # ---------------------------------------------------------------------------
 
 
+def _reps(reps: int | None, default: int) -> int:
+    """Replication count of a preset: its default only when none is given."""
+    if reps is None:
+        return default
+    if reps < 1:
+        raise DataValidationError(f"reps must be at least 1, got {reps}")
+    return reps
+
+
 def _preset_table1(case: int):
     def run(seed: int, reps: int | None, threads: int) -> McReport:
         dgp = BasicDgpConfig(T=200, N=200, r=2, sigma2_e=2.5, seed=seed)
         return mc_imputation_rmse(dgp, FourBlockCase(case),
-                                  B=reps or 500, threads=threads)
+                                  B=_reps(reps, 500), threads=threads)
     return run
 
 
@@ -731,7 +740,7 @@ def _preset_table2(seed: int, reps: int | None, threads: int) -> McReport:
     points = {"BAL": (114, 289), "TALL": (124, 289),
               "WIDE": (114, 324), "MISS": (139, 324)}
     return mc_distribution_study(dgp, pattern, points, level=0.95,
-                                 B=reps or 1000, threads=threads)
+                                 B=_reps(reps, 1000), threads=threads)
 
 
 def _preset_table3(seed: int, reps: int | None, threads: int) -> McReport:
@@ -739,13 +748,13 @@ def _preset_table3(seed: int, reps: int | None, threads: int) -> McReport:
     return mc_risk_study(cfg, SouthWestBlock(0.625, 0.4),
                          estimators=("sm0", "sm2", "sm+2", "sfa", "sfa+"),
                          impute_methods=("TP", "TW"), r=5, S=100,
-                         B=reps or 200, threads=threads)
+                         B=_reps(reps, 200), threads=threads)
 
 
 def _preset_table4(seed: int, reps: int | None, threads: int) -> McReport:
     cfg = StrictFactorConfig(T=200, N_star=250, seed=seed)
     return mc_fullrank_check(cfg, SouthWestBlock(0.625, 0.4), scheme="SM2",
-                             S=100, r=5, B=reps or 100, threads=threads)
+                             S=100, r=5, B=_reps(reps, 100), threads=threads)
 
 
 def _preset_table5(seed: int, reps: int | None, threads: int) -> McReport:
@@ -753,7 +762,7 @@ def _preset_table5(seed: int, reps: int | None, threads: int) -> McReport:
     return mc_risk_study(panel, SouthWestBlock(0.625, 0.4),
                          estimators=("sm0", "sm+1", "sm+2", "sfa", "sfa+"),
                          impute_methods=("TP",), r=5, N_select=100, S=100,
-                         B=reps or 100, seed=seed, threads=threads)
+                         B=_reps(reps, 100), seed=seed, threads=threads)
 
 
 PRESETS = {

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factorfill import FactorModelFit, apc, common_component
 from factorfill.errors import RankTooLarge, SvdFailure
@@ -123,3 +125,71 @@ class TestErrors:
         X[2, 2] = np.nan
         with pytest.raises(SvdFailure):
             apc(X, r=1)
+
+    def test_gram_overflow(self):
+        # the Gram squares magnitudes; overflow is a numerical failure
+        with np.errstate(over="ignore"), pytest.raises(SvdFailure):
+            apc(np.full((5, 4), 1e200), r=1)
+
+
+@st.composite
+def _shapes(draw):
+    """T x N with T < N, T = N or T > N, and r in 1..min(T, N)."""
+    m = draw(st.integers(1, 30))
+    extra = draw(st.integers(1, 30))
+    T, N = draw(st.sampled_from([(m, m + extra), (m, m), (m + extra, m)]))
+    r = draw(st.integers(1, m))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return T, N, r, np.random.default_rng(seed)
+
+
+def _svd_reference(X, r):
+    T, N = X.shape
+    U, d, Vt = np.linalg.svd(X / np.sqrt(N * T), full_matrices=False)
+    return d[:r] ** 2, (U[:, :r] * d[:r]) @ Vt[:r] * np.sqrt(N * T)
+
+
+class TestAgainstFullSvd:
+    """The Gram eigensolver against the full thin SVD it replaces."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_shapes())
+    def test_matches_svd_and_normalization(self, case):
+        T, N, r, g = case
+        X = g.standard_normal((T, N)) * g.uniform(0.1, 10.0)
+        fit = apc(X, r)
+        D2, C_ref = _svd_reference(X, r)
+        tol = 1e-10 * D2[0]
+        assert fit.F.shape == (T, r) and fit.Lambda.shape == (N, r)
+        assert np.all(np.abs(fit.D2 - D2) <= tol)
+        assert (np.linalg.norm(common_component(fit) - C_ref)
+                <= 1e-10 * np.linalg.norm(C_ref))
+        assert np.allclose(fit.F.T @ fit.F / T, np.eye(r), atol=1e-12)
+        gram = fit.Lambda.T @ fit.Lambda
+        assert np.allclose(gram, np.diag(N * fit.D2), rtol=0.0,
+                           atol=1e-12 * N * fit.D2[0])
+        assert np.all(np.diff(fit.D2) <= 0.0)
+        for k in range(r):
+            col = fit.Lambda[:, k]
+            assert col[np.argmax(np.abs(col))] > 0.0
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_shapes(), st.data())
+    def test_rank_deficient_trailing_d2_at_roundoff(self, case, data):
+        T, N, r, g = case
+        if r < 2:
+            r = min(2, T, N)
+        rank = data.draw(st.integers(0, r - 1))
+        X = (g.standard_normal((T, rank)) @ g.standard_normal((rank, N))
+             if rank else np.zeros((T, N)))
+        fit = apc(X, r)
+        assert np.all(fit.D2 >= 0.0)
+        if rank == 0:
+            assert np.array_equal(fit.D2, np.zeros(r))
+            return
+        # d = sqrt(eigenvalue) would leave these near sqrt(eps) * d_1
+        assert np.all(fit.D2[rank:] <= 1e-24 * fit.D2[0])
+        assert np.allclose(fit.D2[:rank], _svd_reference(X, rank)[0],
+                           rtol=1e-10)
+        assert np.allclose(common_component(fit), X, rtol=0.0,
+                           atol=1e-10 * np.abs(X).max())

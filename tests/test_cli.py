@@ -274,6 +274,29 @@ class TestSimulateCommand:
         assert a["kind"] == "fullrank_check"
         assert "kind: fullrank_check" in text1
 
+    def test_single_replication_writes_valid_json(self, tmp_path, capsys):
+        # one sample has no sd; it must reach the JSON as null, not NaN
+        out = tmp_path / "r.json"
+        rc = run(["simulate", "--preset", "table2", "--reps", "1",
+                  "--seed", "1", "--threads", "1", "--out", str(out)])
+        assert rc == 0
+        payload = json.loads(out.read_text())
+        assert payload["reps_requested"] == 1
+        stats = payload["results"]["stats"]
+        assert all(st["sd"] is None for per_pt in stats.values()
+                   for st in per_pt.values())
+        assert "--" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    def test_nonpositive_reps_is_validation_error(self, reps, tmp_path,
+                                                  capsys):
+        out = tmp_path / "r.json"
+        rc = run(["simulate", "--preset", "table1-case1", "--reps", reps,
+                  "--seed", "1", "--threads", "1", "--out", str(out)])
+        assert rc == 3
+        assert not out.exists()
+        assert "reps" in capsys.readouterr().err
+
     def test_unknown_preset_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["simulate", "--preset", "tableX", "--seed", "1"])
