@@ -47,7 +47,6 @@ from .panel import (
     build_locators,
     destandardize,
     standardize,
-    validate_for_imputation,
 )
 from .risk import (
     RiskReport,
@@ -91,7 +90,7 @@ __all__ = [
     "prediction_se_matrix", "reestimate", "tp_impute", "tw_impute",
     "read_panel_csv", "write_panel_csv",
     "LocatorSets", "PanelMatrix", "StandardizationRecord", "build_locators",
-    "destandardize", "standardize", "validate_for_imputation",
+    "destandardize", "standardize",
     "RiskReport", "annualized_vol", "black_scholes_call",
     "min_variance_weights", "portfolio_volatility_model",
     "portfolio_volatility_realized", "risk_report", "value_at_risk",

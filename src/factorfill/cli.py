@@ -157,7 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, help="override replication count")
     p.add_argument("--seed", type=int, help="master seed (required)")
     p.add_argument("--threads", type=int, default=0,
-                   help="worker threads (default: logical cores)")
+                   help="worker threads (default: logical cores); with more "
+                        "than one, set OPENBLAS_NUM_THREADS=1 so the BLAS "
+                        "threads do not oversubscribe the cores")
     p.add_argument("--out", help="JSON report path (text table on stdout)")
     return parser
 

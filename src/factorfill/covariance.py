@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import overlay_fill, pairwise_stats
 from .errors import (
     DataValidationError,
     EmptyResidualPool,
@@ -94,32 +93,34 @@ def pairwise_cov(panel: PanelMatrix) -> CovEstimate:
     """
     if panel.is_complete:
         return CovEstimate(_demeaned_gram(panel.values), "PAIRWISE")
-    cov, counts = pairwise_stats(panel.filled(0.0), panel.mask)
-    thin = counts < 2
-    if thin.any():
+    X0 = panel.filled(0.0)
+    M = panel.mask.astype(np.float64)
+    counts = M.T @ M
+    if (counts < 2).any():
         i, j = np.unravel_index(int(np.argmin(counts)), counts.shape)
         raise InsufficientOverlap(int(i), int(j), int(counts[i, j]))
-    return CovEstimate(cov, "PAIRWISE")
+    Sx = X0.T @ M  # Sx[i, j] = sum over overlap(i, j) of x_it
+    cov = (X0.T @ X0) / counts - (Sx / counts) * (Sx.T / counts)
+    return CovEstimate(0.5 * (cov + cov.T), "PAIRWISE")
 
 
-def _residual_variances(result: ImputationResult, adjusted: bool) -> np.ndarray:
-    e = result.e
-    num = np.sum(e * e, axis=0)
-    if adjusted:
-        return num / result.locators.T_oi
-    return num / e.shape[0]
-
-
-def sf_cov(result: ImputationResult) -> CovEstimate:
-    """Strict-factor estimator Lam (F'F/T) Lam' + diag((1/T) sum e^2)."""
+def _strict_factor_cov(result: ImputationResult, resid_var: np.ndarray,
+                       label: str) -> CovEstimate:
     F = result.fit.F
     Lam = result.fit.Lambda
     Sigma_F = F.T @ F / F.shape[0]
     M = Lam @ Sigma_F @ Lam.T
     M = 0.5 * (M + M.T)
-    M[np.diag_indices_from(M)] += _residual_variances(result, adjusted=False)
-    label = "SF_PLUS" if result.method in REESTIMATED else "SF"
+    M[np.diag_indices_from(M)] += resid_var
+    if result.method in REESTIMATED:
+        label += "_PLUS"
     return CovEstimate(M, label)
+
+
+def sf_cov(result: ImputationResult) -> CovEstimate:
+    """Strict-factor estimator Lam (F'F/T) Lam' + diag((1/T) sum e^2)."""
+    e = result.e
+    return _strict_factor_cov(result, np.sum(e * e, axis=0) / e.shape[0], "SF")
 
 
 def sfa_cov(result: ImputationResult) -> CovEstimate:
@@ -131,14 +132,8 @@ def sfa_cov(result: ImputationResult) -> CovEstimate:
     if short.size:
         i = int(short[0])
         raise SeriesTooShort(i, int(T_oi[i]))
-    F = result.fit.F
-    Lam = result.fit.Lambda
-    Sigma_F = F.T @ F / F.shape[0]
-    M = Lam @ Sigma_F @ Lam.T
-    M = 0.5 * (M + M.T)
-    M[np.diag_indices_from(M)] += _residual_variances(result, adjusted=True)
-    label = "SFA_PLUS" if result.method in REESTIMATED else "SFA"
-    return CovEstimate(M, label)
+    e = result.e
+    return _strict_factor_cov(result, np.sum(e * e, axis=0) / T_oi, "SFA")
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +236,8 @@ def overlay_draw_covs(result: ImputationResult, config: OverlayConfig):
     for s in range(config.S):
         rng = _draw_rng(config.seed, s)
         draws = _draw_fills(rng, config.scheme, state, cols, n)
-        e_filled = overlay_fill(e, rows, cols, draws)
+        e_filled = e.copy()
+        e_filled[rows, cols] = draws
         yield _demeaned_gram(C + e_filled)
 
 

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
-from ._kernels import masked_loadings
 from .apc import FactorModelFit, apc, common_component
 from .errors import (
     CellObserved,
@@ -95,16 +94,15 @@ class IntervalEstimate:
 class InferenceComponents:
     """Bulk plug-in pieces behind the interval formulas.
 
-    Gamma_t holds the cross-section score variances (starred version for
-    re-estimated fits), Phi_i the per-series time-direction score variances,
-    B_ti the re-estimation inflation matrices compressed to two per period
-    (tall series share one matrix, all other observed series another).
+    Sigma_Lambda holds the loading Gram matrices Lam'Lam/N ("tall": over
+    the tall block, "all": over every series), Gamma_t the cross-section
+    score variances (starred version, with the re-estimation inflation, for
+    re-estimated fits), Phi_i the per-series time-direction score variances.
     """
 
-    Sigma_Lambda_inv_terms: dict
+    Sigma_Lambda: dict
     Gamma_t: np.ndarray  # T x r x r
     Phi_i: np.ndarray  # N x r x r
-    B_ti: np.ndarray  # T x 2 x r x r; [:, 0] tall, [:, 1] other observed
     sigma2_e: np.ndarray  # length N
 
 
@@ -128,6 +126,28 @@ def _check_identified(loc: LocatorSets, r: int) -> None:
     if low.size:
         i = int(low[0])
         raise SeriesUnderdetermined(i, int(loc.T_oi[i]), r)
+
+
+def masked_loadings(F: np.ndarray, X0: np.ndarray, mask: np.ndarray):
+    """Regress each series' observed cells on the matching factor rows.
+
+    ``X0`` is the panel with zeros written at missing cells.  Returns
+    ``(loadings, singular)`` where ``loadings`` is N x r and ``singular[i]``
+    marks series whose Gram matrix is numerically rank deficient (their
+    loading row is zeroed).
+    """
+    M = mask.astype(np.float64)
+    # G[i] = sum_{t in J_i} F_t F_t', b[i] = sum_{t in J_i} F_t x_it
+    G = np.einsum("tk,tl,ti->ikl", F, F, M, optimize=True)
+    b = X0.T @ F
+    w = np.linalg.eigvalsh(G)
+    bad = w[:, 0] <= _MOMENT_RTOL * np.maximum(1.0, w[:, -1])
+    if bad.any():
+        G = G.copy()
+        G[bad] = np.eye(F.shape[1])
+    lam = np.linalg.solve(G, b[:, :, None])[:, :, 0]
+    lam[bad] = 0.0
+    return lam, bad
 
 
 def tp_impute(panel: PanelMatrix, r: int) -> ImputationResult:
@@ -276,7 +296,7 @@ def completed_in_original_units(result: ImputationResult,
 def _z_quantile(level: float) -> float:
     if not 0.0 < level < 1.0:
         raise DataValidationError(f"level must be in (0,1), got {level}")
-    return float(ndtri(0.5 * (1.0 + level)))
+    return NormalDist().inv_cdf(0.5 * (1.0 + level))
 
 
 def _checked_solve(G: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
@@ -439,10 +459,10 @@ def prediction_se_matrix(result: ImputationResult) -> np.ndarray:
     Lam = result.fit.Lambda
     T, N = result.e.shape
     if result.method in FIRST_PASS:
-        G = comps.Sigma_Lambda_inv_terms["tall"]
+        G = comps.Sigma_Lambda["tall"]
         denom_cs = np.full(T, float(loc.N_o))
     else:
-        G = comps.Sigma_Lambda_inv_terms["all"]
+        G = comps.Sigma_Lambda["all"]
         denom_cs = loc.N_ot.astype(np.float64)
     a = _checked_solve(G, Lam.T, "loading").T  # N x r
     A_part = np.einsum("tkl,ik,il->ti", comps.Gamma_t, a, a,
@@ -475,7 +495,6 @@ def inference_components(result: ImputationResult) -> InferenceComponents:
     F = result.fit.F
     e = result.e
     T, N = e.shape
-    r = Lam.shape[1]
     tall = loc.tall_series
     Lam_o = Lam[tall]
     G_tall = Lam_o.T @ Lam_o / loc.N_o
@@ -484,32 +503,15 @@ def inference_components(result: ImputationResult) -> InferenceComponents:
                        for i in range(N)])
     Phi = np.einsum("tk,tl,ti->ikl", F, F, e * e, optimize=True)
     Phi /= loc.T_oi[:, None, None]
-    B = np.empty((T, 2, r, r))
     if result.method in FIRST_PASS:
         e_sq_tall = e[:, tall] ** 2
         Gamma = np.einsum("ik,il,ti->tkl", Lam_o, Lam_o, e_sq_tall,
                           optimize=True) / loc.N_o
-        B[:] = np.eye(r)
     else:
-        Gamma = np.empty((T, r, r))
-        for t in range(T):
-            Gamma[t] = _gamma_star(result, t)
-            N_ot = int(loc.N_ot[t])
-            ratio = N_ot / N
-            if N_ot == N:
-                B[t, 0] = np.eye(r)
-            else:
-                out = np.setdiff1d(np.arange(N), loc.per_time[t],
-                                   assume_unique=True)
-                S_out = Lam[out].T @ Lam[out]
-                A_t = _checked_solve(G_tall, (S_out / loc.N_o).T,
-                                     "tall-block loading").T
-                B[t, 0] = ratio * (np.eye(r) + A_t)
-            B[t, 1] = ratio * np.eye(r)
+        Gamma = np.array([_gamma_star(result, t) for t in range(T)])
     return InferenceComponents(
-        Sigma_Lambda_inv_terms={"tall": G_tall, "all": G_all},
+        Sigma_Lambda={"tall": G_tall, "all": G_all},
         Gamma_t=Gamma,
         Phi_i=Phi,
-        B_ti=B,
         sigma2_e=sigma2,
     )

@@ -8,7 +8,7 @@ as False in ``mask``; no arithmetic ever reads a masked-out value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -201,34 +201,3 @@ def destandardize(panel: PanelMatrix, record: StandardizationRecord) -> PanelMat
     values = panel.values * record.stds + record.means
     return PanelMatrix(values, panel.mask)
 
-
-@dataclass(frozen=True)
-class ValidationFailure:
-    code: str
-    series: int | None = None
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    failures: tuple = field(default_factory=tuple)
-
-
-def validate_for_imputation(panel: PanelMatrix, locators: LocatorSets,
-                            r: int) -> ValidationReport:
-    """Check identification conditions for rank-r factor imputation.
-
-    Collects failures instead of raising so callers can report every problem
-    at once: ``TallBlockTooNarrow`` when fewer than r series are fully
-    observed, ``SeriesUnderdetermined(i)`` when series i is observed in
-    fewer than r periods.
-    """
-    failures = []
-    if r < 1 or r > min(panel.T, panel.N):
-        failures.append(ValidationFailure("RankTooLarge"))
-    if locators.N_o < r:
-        failures.append(ValidationFailure("TallBlockTooNarrow"))
-    for i in range(panel.N):
-        if locators.T_oi[i] < r:
-            failures.append(ValidationFailure("SeriesUnderdetermined", i))
-    return ValidationReport(ok=not failures, failures=tuple(failures))

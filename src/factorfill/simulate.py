@@ -15,7 +15,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .covariance import (
     OverlayConfig,
@@ -641,15 +640,13 @@ def mc_fullrank_check(source: StrictFactorConfig, pattern,
         acc = None
         count = 0
         for M in overlay_draw_covs(reest, cfg):
-            lo = float(scipy.linalg.eigh(M, subset_by_index=(0, 0),
-                                         eigvals_only=True)[0])
+            lo = float(np.linalg.eigvalsh(M)[0])
             if lo <= singular_tol:
                 n_sing += 1
             acc = M if acc is None else acc + M
             count += 1
         avg = acc / count
-        lo_avg = float(scipy.linalg.eigh(avg, subset_by_index=(0, 0),
-                                         eigvals_only=True)[0])
+        lo_avg = float(np.linalg.eigvalsh(avg)[0])
         return {"singular_draws": n_sing, "draws": count,
                 "avg_min_eig": lo_avg}
 

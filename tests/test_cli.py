@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import factorfill
 from factorfill import __version__, read_panel_csv
 from factorfill.cli import run
 from factorfill.io import read_cov_binary, read_cov_csv
@@ -305,6 +310,18 @@ class TestSimulateCommand:
 
 
 class TestTopLevel:
+    def test_imports_need_numpy_only(self):
+        # One BLAS in the process: neither scipy (a second bundled
+        # OpenBLAS) nor numba may be pulled in by the package or the CLI.
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(factorfill.__file__).parents[1]))
+        code = ("import sys, factorfill, factorfill.cli; "
+                "print(sorted(m for m in ('scipy', 'numba') "
+                "if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["--version"])

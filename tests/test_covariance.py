@@ -16,7 +16,9 @@ from factorfill import (
     sf_cov,
     sfa_cov,
 )
+from factorfill import covariance
 from factorfill.covariance import (
+    _demeaned_gram,
     _draw_fills,
     _draw_rng,
     _missing_cells,
@@ -94,6 +96,25 @@ class TestPairwise:
                 ref = np.mean(xi * xj) - xi.mean() * xj.mean()
                 assert got[i, j] == pytest.approx(ref, abs=1e-12)
 
+    def test_matches_double_loop(self):
+        rng = np.random.default_rng(2)
+        T, N = 30, 8
+        X = rng.standard_normal((T, N))
+        mask = rng.random((T, N)) > 0.3
+        mask[:, 0] = True
+        panel = PanelMatrix(np.where(mask, X, np.nan), mask)
+        got = pairwise_cov(panel).matrix
+        for i in range(N):
+            for j in range(N):
+                both = mask[:, i] & mask[:, j]
+                xi, xj = X[both, i], X[both, j]
+                ref = np.mean(xi * xj) - xi.mean() * xj.mean()
+                assert got[i, j] == pytest.approx(ref, abs=1e-12)
+
+    def test_symmetric(self):
+        got = pairwise_cov(_indefinite_panel()).matrix
+        assert np.array_equal(got, got.T)
+
     def test_known_indefinite_fixture(self):
         est = pairwise_cov(_indefinite_panel())
         assert min_eigenvalue(est) < -0.1
@@ -104,8 +125,16 @@ class TestPairwise:
         mask[:3, 1] = False
         mask[3:, 2] = False  # series 1 and 2 never overlap
         panel = PanelMatrix(np.where(mask, values, np.nan), mask)
-        with pytest.raises(InsufficientOverlap):
+        with pytest.raises(InsufficientOverlap, match="share 0 ") as exc:
             pairwise_cov(panel)
+        assert exc.value.pair == (1, 2)
+
+    def test_zero_overlap_raises(self):
+        mask = np.array([[True, False]] * 2 + [[False, True]] * 2)
+        panel = PanelMatrix(np.where(mask, 1.0, np.nan), mask)
+        with pytest.raises(InsufficientOverlap, match="share 0 ") as exc:
+            pairwise_cov(panel)
+        assert exc.value.pair == (0, 1)
 
 
 class TestStrictFactor:
@@ -191,6 +220,40 @@ class TestOverlaySchemes:
             OverlayConfig("SM5")
         with pytest.raises(DataValidationError):
             OverlayConfig("SM1", S=0)
+
+
+class TestOverlayFill:
+    def test_scatter(self, monkeypatch):
+        # Each draw's matrix is C + e with the drawn residuals written at
+        # the missing cells and every observed cell left untouched.
+        res = impute_panel(_panel(), 2, method="TP", transform="raw")
+        seen = []
+
+        def spy(X):
+            seen.append(X.copy())
+            return _demeaned_gram(X)
+
+        monkeypatch.setattr(covariance, "_demeaned_gram", spy)
+        cfg = OverlayConfig("SM2", S=3, seed=4)
+        list(overlay_draw_covs(res, cfg))
+        rows, cols = _missing_cells(res.mask)
+        state = _scheme_state(res, "SM2", cols)
+        base = res.C + res.e
+        assert len(seen) == cfg.S
+        for s, X in enumerate(seen):
+            draws = _draw_fills(_draw_rng(cfg.seed, s), "SM2", state, cols,
+                                rows.size)
+            assert np.array_equal(X[rows, cols], res.C[rows, cols] + draws)
+            assert np.array_equal(X[res.mask], base[res.mask])
+        assert not res.e[~res.mask].any()  # the result is never mutated
+
+    def test_empty_fill(self):
+        panel = PanelMatrix.complete(
+            np.random.default_rng(3).standard_normal((12, 5)))
+        res = impute_panel(panel, 2, method="TP", transform="raw")
+        want = _demeaned_gram(res.C + res.e)
+        for M in overlay_draw_covs(res, OverlayConfig("SM1", S=2, seed=0)):
+            assert np.array_equal(M, want)
 
 
 class TestOverlayCov:

@@ -22,6 +22,7 @@ from factorfill.errors import (
     RotationSingular,
     SeriesUnderdetermined,
 )
+from factorfill.impute import masked_loadings
 from tests.conftest import corner_missing, make_panel
 
 
@@ -34,6 +35,44 @@ def _noiseless(T=30, N=12, r=2, seed=1, missing=None):
     for t, i in missing or []:
         mask[t, i] = False
     return PanelMatrix(np.where(mask, X, np.nan), mask), X
+
+
+def _masked_case(seed=0, T=25, N=10, r=3, frac=0.3):
+    rng = np.random.default_rng(seed)
+    F = rng.standard_normal((T, r))
+    X = rng.standard_normal((T, N))
+    mask = rng.random((T, N)) > frac
+    mask[:, 0] = True          # keep one tall series
+    mask[0] = True             # keep every series observed at least once
+    return F, X, mask
+
+
+class TestMaskedLoadings:
+    def test_matches_per_series_ols(self):
+        F, X, mask = _masked_case()
+        L, bad = masked_loadings(F, np.where(mask, X, 0.0), mask)
+        assert not bad.any()
+        for i in range(X.shape[1]):
+            rows = mask[:, i]
+            ref, *_ = np.linalg.lstsq(F[rows], X[rows, i], rcond=None)
+            assert np.allclose(L[i], ref, atol=1e-10)
+
+    def test_flags_underdetermined_series(self):
+        F, X, mask = _masked_case()
+        mask[:, 3] = False
+        mask[0, 3] = True      # one observation, r = 3 regressors
+        L, bad = masked_loadings(F, np.where(mask, X, 0.0), mask)
+        assert bad[3] and not bad[0]
+        assert np.all(L[3] == 0.0)
+
+    def test_flags_collinear_rows(self):
+        rng = np.random.default_rng(5)
+        T, r = 12, 2
+        F = np.ones((T, r))    # identical columns: G is singular
+        X = rng.standard_normal((T, 4))
+        mask = np.ones((T, 4), dtype=bool)
+        L, bad = masked_loadings(F, np.where(mask, X, 0.0), mask)
+        assert bad.all()
 
 
 class TestTallProjection:

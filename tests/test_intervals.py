@@ -5,13 +5,13 @@ from factorfill import (
     cc_interval_first_pass,
     cc_interval_reestimated,
     impute_panel,
-    inference_components,
     prediction_interval,
     prediction_se_matrix,
     reestimate,
     tp_impute,
 )
 from factorfill.errors import CellObserved, DataValidationError
+from factorfill.impute import _gamma_star, _score_variance
 from factorfill.simulate import (
     BasicDgpConfig,
     SouthWestBlock,
@@ -130,9 +130,9 @@ class TestReestimatedInterval:
         # inflation matrices entirely
         panel = _panel()
         res = impute_panel(panel, 2, method="TP_PLUS", transform="raw")
-        comps = inference_components(res)
         t = int(res.locators.complete_rows[0])
-        assert np.allclose(comps.B_ti[t, 0], np.eye(2), atol=1e-12)
+        plain = _score_variance(res.fit.Lambda, res.e[t] ** 2)
+        assert np.allclose(_gamma_star(res, t), plain, rtol=0.0, atol=1e-12)
 
     def test_rejects_wrong_method(self):
         res = impute_panel(_panel(), 2, method="TW", transform="raw")

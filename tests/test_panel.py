@@ -8,7 +8,6 @@ from factorfill.errors import (
     TooFewObservations,
     ZeroVarianceSeries,
 )
-from factorfill.panel import validate_for_imputation
 
 
 def _hand_panel():
@@ -150,34 +149,3 @@ class TestStandardize:
         back = rec.invert_values(M)
         for i in range(3):
             assert back[0, i] == pytest.approx(rec.scale_for(i) + rec.shift_for(i))
-
-
-class TestValidation:
-    def test_rank_too_large(self):
-        p = _hand_panel()
-        loc = build_locators(p)
-        rep = validate_for_imputation(p, loc, r=5)
-        assert not rep.ok
-        assert any(f.code == "RankTooLarge" for f in rep.failures)
-
-    def test_tall_block_too_narrow(self):
-        # only one fully observed series but r=2
-        values = np.random.default_rng(1).standard_normal((6, 3))
-        values[5, 1] = np.nan
-        values[4, 2] = np.nan
-        p = PanelMatrix.from_values(values)
-        rep = validate_for_imputation(p, build_locators(p), r=2)
-        assert any(f.code == "TallBlockTooNarrow" for f in rep.failures)
-
-    def test_underdetermined_series(self):
-        values = np.random.default_rng(2).standard_normal((6, 4))
-        values[1:, 3] = np.nan  # series 3 observed once, below r
-        p = PanelMatrix.from_values(values)
-        rep = validate_for_imputation(p, build_locators(p), r=2)
-        assert any(f.code == "SeriesUnderdetermined" and f.series == 3
-                   for f in rep.failures)
-
-    def test_ok_panel(self, small_panel):
-        rep = validate_for_imputation(small_panel,
-                                      build_locators(small_panel), r=2)
-        assert rep.ok and rep.failures == ()
